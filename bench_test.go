@@ -10,8 +10,8 @@ import (
 )
 
 // benchSeed roots every per-process random source, so a benchmark's value
-// schedule is identical run to run (the bench-json harness fixes its seed
-// the same way). Each process offsets the seed by its id to decorrelate.
+// schedule is identical run to run. Each process offsets the seed by its id
+// to decorrelate.
 const benchSeed int64 = 20260805
 
 // The E1-E5/E7 benchmarks regenerate the EXPERIMENTS.md tables (shapes, not

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tradeoff [-run e1,e3] [-format text|markdown|csv] [-ns 8,16,32] [-ks 64,256] \
-//	         [-flight] [-flight-sample 64] [-flight-window 1024] \
+//	         [-workers 1,2,4,8] [-dpor] [-flight] [-flight-sample 64] [-flight-window 1024] \
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
 // With no flags it runs everything with the default sweeps. The profiling
@@ -50,11 +50,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tradeoff", flag.ContinueOnError)
 	var (
-		runList    = fs.String("run", "all", "comma-separated experiments to run: e1,e2,e3,e4,e5,e7,e9,e10,e12,e14 or all")
+		runList    = fs.String("run", "all", "comma-separated experiments to run: e1,e2,e3,e4,e5,e7,e9,e10,e12,e13,e14 or all")
 		format     = fs.String("format", "text", "output format: text, markdown, or csv")
 		nsFlag     = fs.String("ns", "", "override process-count sweep for e1/e2/e5 (comma-separated)")
 		ksFlag     = fs.String("ks", "", "override K sweep for e3 (comma-separated)")
-		workersFlg = fs.String("workers", "1,2,4,8", "ExploreParallel worker-count sweep for e12 (comma-separated, counts >= 1)")
+		workersFlg = fs.String("workers", "1,2,4,8", "ExploreParallel worker-count sweep for e12, and for e14 when set (comma-separated, counts >= 1)")
 		dporFlag   = fs.Bool("dpor", false, "run e12's exploration sweep under dynamic partial-order reduction (sleep sets)")
 		flightFlag = fs.Bool("flight", false, "also run the live flight-recorder experiment (fails on any linearizability violation)")
 		flightSmpl = fs.Int("flight-sample", 64, "flight recorder sampling rate: record 1 in N operations per process (1 = exact)")
@@ -65,6 +65,14 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	render, ok := map[string]func(*bench.Table) string{
+		"text":     (*bench.Table).Text,
+		"markdown": (*bench.Table).Markdown,
+		"csv":      (*bench.Table).CSV,
+	}[*format]
+	if !ok {
+		return fmt.Errorf("unknown format %q (want text, markdown, or csv)", *format)
 	}
 
 	if *cpuProfile != "" {
@@ -143,17 +151,13 @@ func run(args []string, out io.Writer) error {
 			}
 			return bench.E12ExploreScaling(bench.ExploreConfig{Workers: workers, Reduce: *dporFlag})
 		},
+		"e13": func() ([]*bench.Table, error) { return bench.E13ContentionSweep(bench.ContentionConfig{}) },
 		"e14": func() ([]*bench.Table, error) {
-			// The DPOR suite sweeps its own smaller default worker axis
-			// unless -workers overrides it; the unreduced baseline row pays
-			// for the full tree, so dimensions stay at the suite defaults.
-			var workers []int
-			if *workersFlg != "1,2,4,8" { // only honor an explicit override
-				var err error
-				workers, err = bench.ParseWorkers(*workersFlg)
-				if err != nil {
-					return nil, fmt.Errorf("-workers: %w", err)
-				}
+			// The unreduced baseline row pays for the full tree, so
+			// dimensions stay at the sweep defaults.
+			workers, err := dporWorkers(fs)
+			if err != nil {
+				return nil, fmt.Errorf("-workers: %w", err)
 			}
 			return bench.E14DporReduction(bench.DporConfig{Workers: workers})
 		},
@@ -164,7 +168,7 @@ func run(args []string, out io.Writer) error {
 			Window:      *flightWin,
 		})
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e7", "e9", "e10", "e12", "e14"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e7", "e9", "e10", "e12", "e13", "e14"}
 
 	var selected []string
 	if *runList == "all" {
@@ -173,7 +177,7 @@ func run(args []string, out io.Writer) error {
 		for _, name := range strings.Split(*runList, ",") {
 			name = strings.ToLower(strings.TrimSpace(name))
 			if _, ok := experiments[name]; !ok {
-				return fmt.Errorf("unknown experiment %q (want e1,e2,e3,e4,e5,e7,e9,e10,e12,e14,flight)", name)
+				return fmt.Errorf("unknown experiment %q (want e1,e2,e3,e4,e5,e7,e9,e10,e12,e13,e14,flight)", name)
 			}
 			selected = append(selected, name)
 		}
@@ -189,19 +193,22 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		for _, t := range tables {
-			switch *format {
-			case "text":
-				fmt.Fprintln(out, t.Text())
-			case "markdown":
-				fmt.Fprintln(out, t.Markdown())
-			case "csv":
-				fmt.Fprintln(out, t.CSV())
-			default:
-				return fmt.Errorf("unknown format %q", *format)
-			}
+			fmt.Fprintln(out, render(t))
 		}
 	}
 	return nil
+}
+
+// dporWorkers resolves e14's worker sweep: nil (the sweep's own smaller
+// default axis) unless -workers was set on the command line — even when it
+// was set to the flag's default value.
+func dporWorkers(fs *flag.FlagSet) ([]int, error) {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "workers" })
+	if !set {
+		return nil, nil
+	}
+	return bench.ParseWorkers(fs.Lookup("workers").Value.String())
 }
 
 func parseInts(s string) ([]int, error) {

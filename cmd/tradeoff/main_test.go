@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-run", "e1", "-ns", "4,8", "-format", "yaml"}, &out); err == nil {
 		t.Fatal("bad format accepted")
+	}
+	// A bad -format must be rejected before any experiment runs: here the
+	// experiment itself would fail on its -workers value first.
+	err := run([]string{"-run", "e12", "-workers", "0", "-format", "yaml"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "unknown format") {
+		t.Fatalf("bad format not rejected before running e12: %v", err)
 	}
 	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
@@ -151,6 +159,45 @@ func TestRunE12RejectsBadWorkers(t *testing.T) {
 	for _, w := range []string{"0", "x", ""} {
 		if err := run([]string{"-run", "e12", "-workers", w}, &out); err == nil {
 			t.Fatalf("-workers %q accepted", w)
+		}
+	}
+}
+
+func TestDporWorkersHonorsExplicitFlag(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []int
+	}{
+		{nil, nil}, // unset: e14 keeps its own default axis
+		{[]string{"-workers", "1,2"}, []int{1, 2}},
+		// Explicitly set to the flag's default value: still honored.
+		{[]string{"-workers", "1,2,4,8"}, []int{1, 2, 4, 8}},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("tradeoff", flag.ContinueOnError)
+		fs.String("workers", "1,2,4,8", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dporWorkers(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v: e14 workers = %v, want %v", tc.args, got, tc.want)
+		}
+	}
+}
+
+func TestRunE13ContentionSweep(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-run", "e13", "-format", "markdown"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{"### E13:", "sharded_update_ns", "crossover: "} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("e13 output missing %q:\n%s", want, text)
 		}
 	}
 }

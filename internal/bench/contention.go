@@ -1,11 +1,10 @@
 package bench
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"runtime/pprof"
+	"sync"
 
 	"github.com/restricteduse/tradeoffs/internal/counter"
 	"github.com/restricteduse/tradeoffs/internal/counter/sharded"
@@ -31,8 +30,6 @@ type ContentionConfig struct {
 	Writers []int
 	// OpsPerWriter is the per-writer operation count (default 20000).
 	OpsPerWriter int
-	// Seed feeds every per-process rand.Source (default 1).
-	Seed int64
 }
 
 // DefaultContentionWriters returns the default sweep axis.
@@ -65,43 +62,23 @@ func contentionImpls(writers int) (map[string]counter.Counter, error) {
 	return map[string]counter.Counter{"cas": flat, "sharded": striped}, nil
 }
 
-// RunContention executes the sweep and returns its report. Row names are
-// contention/<impl>/w<writers>/<mix>: mix "update" is pure increments,
-// mix "read1in8" interleaves one Read per eight operations on every
-// writer. Report.Procs records the largest writer count (the sweep's
-// ceiling); each row's Procs is its own writer count.
-func RunContention(cfg ContentionConfig) (*Report, error) {
+// RunContention executes the sweep: per writer count, both counters under
+// both read mixes. Mix "update" is pure increments; mix "read1in8"
+// interleaves one Read per eight operations on every writer.
+func RunContention(cfg ContentionConfig) ([]row, error) {
 	if len(cfg.Writers) == 0 {
 		cfg.Writers = DefaultContentionWriters()
 	}
 	if cfg.OpsPerWriter <= 0 {
 		cfg.OpsPerWriter = 20000
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	maxWriters := 0
 	for _, w := range cfg.Writers {
 		if w < 1 {
 			return nil, fmt.Errorf("bench: contention writer count %d < 1", w)
 		}
-		if w > maxWriters {
-			maxWriters = w
-		}
 	}
 
-	rep := &Report{
-		Schema:     ReportSchema,
-		Suite:      SuiteContention,
-		Seed:       cfg.Seed,
-		Procs:      maxWriters,
-		OpsPerProc: cfg.OpsPerWriter,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Host:       ReadHost(),
-	}
-	ops := int64(cfg.OpsPerWriter)
-
+	var rows []row
 	for _, writers := range cfg.Writers {
 		impls, err := contentionImpls(writers)
 		if err != nil {
@@ -111,113 +88,132 @@ func RunContention(cfg ContentionConfig) (*Report, error) {
 			c := impls[implName]
 			for _, mix := range []struct {
 				name  string
-				every int64 // one Read per this many ops; 0 = never
+				every int // one Read per this many ops; 0 = never
 			}{
 				{"update", 0},
 				{"read1in8", 8},
 			} {
-				name := fmt.Sprintf("contention/%s/w%d/%s", implName, writers, mix.name)
-				every := mix.every
-				m, err := runParallelIn(SuiteContention, name, writers, ops, cfg.Seed, nil,
-					func(ctx primitive.Context, _ int, _ *rand.Rand, i int64) error {
-						if every > 0 && i%every == 0 {
-							c.Read(ctx)
-							return nil
-						}
-						return c.Increment(ctx)
-					})
+				r, err := runWriters(writers, cfg.OpsPerWriter, func(ctx primitive.Context, i int) error {
+					if mix.every > 0 && i%mix.every == 0 {
+						c.Read(ctx)
+						return nil
+					}
+					return c.Increment(ctx)
+				})
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("bench: contention %s/w%d/%s: %w", implName, writers, mix.name, err)
 				}
-				rep.Results = append(rep.Results, result(name, writers, ops*int64(writers), m))
+				r.workload, r.engine, r.writers = mix.name, implName, writers
+				rows = append(rows, r)
 			}
 		}
 	}
-
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rows, nil
 }
 
-// Crossover scans a contention report for the smallest writer count at
+// runWriters drives writers goroutines through ops calls of op each, after
+// a common start barrier, on step-counting contexts so the row carries the
+// CAS-failure rate.
+func runWriters(writers, ops int, op func(ctx primitive.Context, i int) error) (row, error) {
+	col := obs.NewCollector(writers, nil)
+	start := make(chan struct{})
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for id := 0; id < writers; id++ {
+		ctx := col.Context(id, primitive.NewDirect(id))
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < ops; i++ {
+				if err := op(ctx, i); err != nil {
+					errs[id] = fmt.Errorf("process %d op %d: %w", id, i, err)
+					return
+				}
+			}
+		}(id)
+	}
+	elapsed, allocs := measure(func() {
+		close(start)
+		wg.Wait()
+	})
+	st := col.Snapshot()
+	return row{
+		ops:         int64(writers) * int64(ops),
+		elapsed:     elapsed,
+		allocs:      allocs,
+		casAttempts: st.CASAttempts,
+		casFailures: st.CASFailures,
+	}, errors.Join(errs...)
+}
+
+// Crossover scans a contention sweep for the smallest writer count at
 // which the sharded counter's pure-update ns/op beats the flat CAS
-// counter's, returning 0 if it never does. The EXPERIMENTS.md E13 table
-// and the dashboard annotation both read it.
-func Crossover(rep *Report) int {
+// counter's, returning 0 if it never does.
+func Crossover(rows []row) int {
 	type pair struct{ cas, sharded float64 }
 	byWriters := make(map[int]*pair)
-	var order []int
-	at := func(w int) *pair {
-		if byWriters[w] == nil {
-			byWriters[w] = &pair{}
-			order = append(order, w)
+	for _, r := range rows {
+		if r.workload != "update" {
+			continue
 		}
-		return byWriters[w]
-	}
-	for _, r := range rep.Results {
-		var w int
-		if _, err := fmt.Sscanf(r.Name, "contention/cas/w%d/update", &w); err == nil {
-			at(w).cas = r.NsPerOp
-		} else if _, err := fmt.Sscanf(r.Name, "contention/sharded/w%d/update", &w); err == nil {
-			at(w).sharded = r.NsPerOp
+		p := byWriters[r.writers]
+		if p == nil {
+			p = &pair{}
+			byWriters[r.writers] = p
+		}
+		switch r.engine {
+		case "cas":
+			p.cas = r.nsPerOp()
+		case "sharded":
+			p.sharded = r.nsPerOp()
 		}
 	}
 	crossover := 0
-	for _, w := range order {
-		p := byWriters[w]
-		if p.cas > 0 && p.sharded > 0 && p.sharded < p.cas {
-			if crossover == 0 || w < crossover {
-				crossover = w
-			}
+	for w, p := range byWriters {
+		if p.cas > 0 && p.sharded > 0 && p.sharded < p.cas && (crossover == 0 || w < crossover) {
+			crossover = w
 		}
 	}
 	return crossover
 }
 
-// runParallelIn is runParallel with an explicit pprof bench_suite label
-// (runParallel itself predates multi-suite labeling and pins
-// SuiteThroughput). pool may be nil when no register heatmap is wanted.
-func runParallelIn(suite, name string, procs int, ops, seed int64, pool *primitive.Pool,
-	op func(ctx primitive.Context, id int, rng *rand.Rand, i int64) error) (measurement, error) {
-
-	col := obs.NewCollector(procs, pool)
-	ctxs := make([]*obs.Instrumented, procs)
-	for id := range ctxs {
-		ctxs[id] = col.Context(id, primitive.NewDirect(id))
+// E13ContentionSweep renders RunContention as the E13 experiment table
+// (EXPERIMENTS.md): per writer count, both counters' pure-update and
+// 1-in-8-read ns/op, the sharded/flat update ratio and each counter's
+// CAS-failure rate on pure updates, with the crossover writer count.
+func E13ContentionSweep(cfg ContentionConfig) ([]*Table, error) {
+	rows, err := RunContention(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	var (
-		start = make(chan struct{})
-		first error
-		m     measurement
-	)
-	pprof.Do(context.Background(), pprof.Labels("bench_suite", suite, "bench_workload", name),
-		func(context.Context) {
-			done := make(chan error, procs)
-			for id := 0; id < procs; id++ {
-				go func(id int) {
-					rng := rand.New(rand.NewSource(seed + int64(id)))
-					ctx := ctxs[id]
-					<-start
-					for i := int64(0); i < ops; i++ {
-						if err := op(ctx, id, rng, i); err != nil {
-							done <- fmt.Errorf("process %d op %d: %w", id, i, err)
-							return
-						}
-					}
-					done <- nil
-				}(id)
-			}
-			m = measure(func() {
-				close(start)
-				for i := 0; i < procs; i++ {
-					if err := <-done; err != nil && first == nil {
-						first = err
-					}
-				}
-			})
-		})
-	m.stats = col.Snapshot()
-	return m, first
+	t := &Table{
+		ID:    "E13",
+		Title: "flat CAS vs. elastic sharded counter under contention",
+		Columns: []string{"writers", "cas_update_ns", "sharded_update_ns", "ratio",
+			"cas_read1in8_ns", "sharded_read1in8_ns", "cas_fail_cas", "cas_fail_sharded"},
+		Notes: []string{
+			"ns/op over all writers' operations; ratio is sharded over flat on pure updates",
+			fmt.Sprintf("measured at GOMAXPROCS=%d; past it the writers oversubscribe and time-slice, which leaves little contention for sharding to relieve", runtime.GOMAXPROCS(0)),
+		},
+	}
+	if w := Crossover(rows); w > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("crossover: sharded beats flat on pure updates from %d writers", w))
+	} else {
+		t.Notes = append(t.Notes, "crossover: none (sharded never beats flat on pure updates in this sweep)")
+	}
+	// RunContention emits each writer count's rows in the order
+	// cas/update, cas/read1in8, sharded/update, sharded/read1in8.
+	for i := 0; i+4 <= len(rows); i += 4 {
+		casU, casR, shU, shR := rows[i], rows[i+1], rows[i+2], rows[i+3]
+		t.AddRow(casU.writers,
+			fmt.Sprintf("%.1f", casU.nsPerOp()),
+			fmt.Sprintf("%.1f", shU.nsPerOp()),
+			fmt.Sprintf("%.2fx", shU.nsPerOp()/casU.nsPerOp()),
+			fmt.Sprintf("%.1f", casR.nsPerOp()),
+			fmt.Sprintf("%.1f", shR.nsPerOp()),
+			fmt.Sprintf("%.3f", casU.casFailureRate()),
+			fmt.Sprintf("%.3f", shU.casFailureRate()))
+	}
+	return []*Table{t}, nil
 }

@@ -1,49 +1,66 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
-func TestRunContentionProducesValidReport(t *testing.T) {
-	rep, err := RunContention(ContentionConfig{Writers: []int{1, 2}, OpsPerWriter: 200, Seed: 1})
+func TestRunContentionRows(t *testing.T) {
+	rows, err := RunContention(ContentionConfig{Writers: []int{1, 2}, OpsPerWriter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Validate(); err != nil {
-		t.Fatal(err)
+	if len(rows) != 8 {
+		t.Fatalf("%d rows, want 8 (2 writer counts x 2 impls x 2 mixes)", len(rows))
 	}
-	if rep.Suite != SuiteContention {
-		t.Fatalf("suite %q, want %q", rep.Suite, SuiteContention)
+	res := make(map[string]row, len(rows))
+	for _, r := range rows {
+		res[fmt.Sprintf("%s/w%d/%s", r.engine, r.writers, r.workload)] = r
 	}
-	if rep.Procs != 2 {
-		t.Fatalf("report procs %d, want max writer count 2", rep.Procs)
-	}
-	res := indexResults(rep)
 	for _, name := range []string{
-		"contention/cas/w1/update", "contention/cas/w1/read1in8",
-		"contention/cas/w2/update", "contention/cas/w2/read1in8",
-		"contention/sharded/w1/update", "contention/sharded/w1/read1in8",
-		"contention/sharded/w2/update", "contention/sharded/w2/read1in8",
+		"cas/w1/update", "cas/w1/read1in8",
+		"cas/w2/update", "cas/w2/read1in8",
+		"sharded/w1/update", "sharded/w1/read1in8",
+		"sharded/w2/update", "sharded/w2/read1in8",
 	} {
 		r, ok := res[name]
 		if !ok {
 			t.Fatalf("missing row %q", name)
 		}
-		if r.NsPerOp <= 0 || r.WallClockMS <= 0 {
-			t.Errorf("%s: ns/op=%g wall=%gms, want positive", name, r.NsPerOp, r.WallClockMS)
+		if r.nsPerOp() <= 0 || r.wallMS() <= 0 {
+			t.Errorf("%s: ns/op=%g wall=%gms, want positive", name, r.nsPerOp(), r.wallMS())
 		}
 	}
 	// Every row runs writers*ops operations; the w2 rows double the w1 rows.
-	if got := res["contention/cas/w2/update"].Ops; got != 400 {
+	if got := res["cas/w2/update"].ops; got != 400 {
 		t.Errorf("w2 row ran %d ops, want 400", got)
 	}
 	// The pure-update rows on the flat counter are all CAS; the sharded rows
 	// spread attempts across stripes but still go through CAS.
-	if res["contention/cas/w2/update"].CASAttempts == 0 {
+	if res["cas/w2/update"].casAttempts == 0 {
 		t.Error("flat update row recorded no CAS attempts")
 	}
-	if res["contention/sharded/w2/update"].CASAttempts == 0 {
+	if res["sharded/w2/update"].casAttempts == 0 {
 		t.Error("sharded update row recorded no CAS attempts")
+	}
+}
+
+func TestE13ContentionSweepTable(t *testing.T) {
+	tables, err := E13ContentionSweep(ContentionConfig{Writers: []int{1, 2}, OpsPerWriter: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 || tables[0].ID != "E13" {
+		t.Fatalf("tables %+v, want one E13 table", tables)
+	}
+	tab := tables[0]
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "1" || tab.Rows[1][0] != "2" {
+		t.Fatalf("rows %v, want one per writer count 1, 2", tab.Rows)
+	}
+	if !strings.HasPrefix(tab.Notes[len(tab.Notes)-1], "crossover: ") {
+		t.Fatalf("last note %q does not report the crossover", tab.Notes[len(tab.Notes)-1])
 	}
 }
 
@@ -69,12 +86,17 @@ func TestDefaultContentionWriters(t *testing.T) {
 }
 
 func TestCrossover(t *testing.T) {
-	mk := func(rows map[string]float64) *Report {
-		rep := &Report{}
-		for name, ns := range rows {
-			rep.Results = append(rep.Results, Result{Name: name, NsPerOp: ns})
+	// mk turns "<impl>/w<writers>/<mix>" -> ns/op into 1-op rows.
+	mk := func(cells map[string]float64) []row {
+		var rows []row
+		for name, ns := range cells {
+			r := row{ops: 1, elapsed: time.Duration(ns)}
+			if _, err := fmt.Sscanf(strings.ReplaceAll(name, "/", " "), "%s w%d %s", &r.engine, &r.writers, &r.workload); err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, r)
 		}
-		return rep
+		return rows
 	}
 	cases := []struct {
 		name string
@@ -82,19 +104,19 @@ func TestCrossover(t *testing.T) {
 		want int
 	}{
 		{"sharded wins from w4", map[string]float64{
-			"contention/cas/w1/update": 10, "contention/sharded/w1/update": 15,
-			"contention/cas/w2/update": 20, "contention/sharded/w2/update": 25,
-			"contention/cas/w4/update": 40, "contention/sharded/w4/update": 30,
+			"cas/w1/update": 10, "sharded/w1/update": 15,
+			"cas/w2/update": 20, "sharded/w2/update": 25,
+			"cas/w4/update": 40, "sharded/w4/update": 30,
 		}, 4},
 		{"never crosses", map[string]float64{
-			"contention/cas/w1/update": 10, "contention/sharded/w1/update": 15,
-			"contention/cas/w8/update": 20, "contention/sharded/w8/update": 25,
+			"cas/w1/update": 10, "sharded/w1/update": 15,
+			"cas/w8/update": 20, "sharded/w8/update": 25,
 		}, 0},
 		{"read rows ignored", map[string]float64{
-			"contention/cas/w1/read1in8": 50, "contention/sharded/w1/read1in8": 1,
-			"contention/cas/w1/update": 10, "contention/sharded/w1/update": 15,
+			"cas/w1/read1in8": 50, "sharded/w1/read1in8": 1,
+			"cas/w1/update": 10, "sharded/w1/update": 15,
 		}, 0},
-		{"empty report", nil, 0},
+		{"empty sweep", nil, 0},
 	}
 	for _, tc := range cases {
 		if got := Crossover(mk(tc.rows)); got != tc.want {

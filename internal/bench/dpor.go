@@ -1,39 +1,27 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 	"github.com/restricteduse/tradeoffs/internal/sim"
 )
 
-// This file is the `dpor` bench family behind `make dpor-bench`: the same
-// reference configurations the explore suite sweeps, measured under dynamic
+// This file is the E14 experiment (EXPERIMENTS.md): the same reference
+// configurations the E12 sweep explores, measured under dynamic
 // partial-order reduction (sim.ExploreReduced / sim.Options.Reduce) against
-// the unreduced sim.Explore baseline. One "op" is one complete execution, so
-// the full-vs-reduced Ops gap IS the reduction factor the E14 experiment
-// (EXPERIMENTS.md) tracks. Every run cross-checks that the parallel reduced
-// engine visits exactly the sequential reduced engine's execution count — a
-// mismatch is an engine bug and fails the run.
-
-// labeledDpor runs one dpor row under pprof labels (see labeled).
-func labeledDpor(row string, f func() measurement) measurement {
-	var m measurement
-	pprof.Do(context.Background(), pprof.Labels("bench_suite", SuiteDpor, "bench_workload", row),
-		func(context.Context) { m = f() })
-	return m
-}
+// the unreduced sim.Explore baseline. One "op" is one complete execution,
+// so the full-vs-reduced execution gap IS the reduction factor. Every run
+// cross-checks that the parallel reduced engine visits exactly the
+// sequential reduced engine's execution count — a mismatch is an engine bug
+// and fails the run.
 
 // DporConfig parameterizes RunDpor.
 type DporConfig struct {
 	// Procs is the number of simulated processes per workload (default 3).
 	Procs int
 	// Steps is the per-process operation count (default 3). The unreduced
-	// baseline still enumerates the full tree, so the explore suite's
+	// baseline still enumerates the full tree, so ExploreConfig's
 	// factorial-growth warning applies unchanged.
 	Steps int
 	// Workers lists worker counts for the parallel reduced rows (default
@@ -68,14 +56,7 @@ var dporWorkloads = append(exploreWorkloads[:len(exploreWorkloads):len(exploreWo
 	}},
 )
 
-// RunDpor measures dynamic partial-order reduction over the reference
-// workloads: per workload, one unreduced sim.Explore row (`full`), one
-// sequential sim.ExploreReduced row (`reduced`), and one parallel reduced
-// row (`rw<N>`) per requested worker count. The full row is the denominator
-// of the reduction factor; the reduced rows must agree with each other
-// exactly (parallel DPOR visits the identical sleep-set-pruned tree) and
-// must not exceed the full row.
-func RunDpor(cfg DporConfig) (*Report, error) {
+func (cfg DporConfig) withDefaults() DporConfig {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 3
 	}
@@ -88,93 +69,55 @@ func RunDpor(cfg DporConfig) (*Report, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 10_000_000
 	}
+	return cfg
+}
 
-	rep := &Report{
-		Schema:     ReportSchema,
-		Suite:      SuiteDpor,
-		Seed:       1, // explorations are exhaustive; no randomness involved
-		Procs:      cfg.Procs,
-		OpsPerProc: cfg.Steps,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Host:       ReadHost(),
-	}
-
+// RunDpor measures dynamic partial-order reduction over the reference
+// workloads: per workload, one unreduced sim.Explore row (engine "full"),
+// one sequential sim.ExploreReduced row ("reduced"), and one parallel
+// reduced row ("rw<N>") per requested worker count. The full row is the
+// denominator of the reduction factor; the reduced rows must agree with
+// each other exactly (parallel DPOR visits the identical sleep-set-pruned
+// tree) and must not exceed the full row.
+func RunDpor(cfg DporConfig) ([]row, error) {
+	cfg = cfg.withDefaults()
+	var rows []row
 	for _, wl := range dporWorkloads {
-		wl := wl
-		seqBuild := func() (*sim.System, error) {
-			pool := primitive.NewPool()
-			s := sim.NewSystem()
-			if err := wl.spawn(pool, s, cfg.Procs, cfg.Steps); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-		parBuild := func(rec *sim.Recycler) (*sim.System, error) {
-			pool := rec.Pool()
-			s := rec.NewSystem()
-			if err := wl.spawn(pool, s, cfg.Procs, cfg.Steps); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-
-		tally := new(exploreTally)
-		var fullExecs int
-		var runErr error
-		m := labeledDpor("dpor/"+wl.name+"/full", func() measurement {
-			return measure(func() {
-				fullExecs, runErr = sim.Explore(seqBuild, tally.check, cfg.Budget)
-			})
+		seqBuild, parBuild := wl.builders(cfg.Procs, cfg.Steps)
+		full, err := exploreRow(wl.name, "full", func() (int, error) {
+			return sim.Explore(seqBuild, noCheck, cfg.Budget)
 		})
-		if runErr != nil {
-			return nil, fmt.Errorf("bench: dpor/%s/full: %w", wl.name, runErr)
+		if err != nil {
+			return nil, err
 		}
-		rep.Results = append(rep.Results,
-			tally.result("dpor/"+wl.name+"/full", cfg.Procs, fullExecs, m))
-
-		tally = new(exploreTally)
-		var reducedExecs int
-		m = labeledDpor("dpor/"+wl.name+"/reduced", func() measurement {
-			return measure(func() {
-				reducedExecs, runErr = sim.ExploreReduced(seqBuild, tally.check, cfg.Budget)
-			})
+		reduced, err := exploreRow(wl.name, "reduced", func() (int, error) {
+			return sim.ExploreReduced(seqBuild, noCheck, cfg.Budget)
 		})
-		if runErr != nil {
-			return nil, fmt.Errorf("bench: dpor/%s/reduced: %w", wl.name, runErr)
+		if err != nil {
+			return nil, err
 		}
-		if reducedExecs > fullExecs {
-			return nil, fmt.Errorf("bench: dpor/%s: reduced visited %d executions, full visited %d",
-				wl.name, reducedExecs, fullExecs)
+		if reduced.ops > full.ops {
+			return nil, fmt.Errorf("bench: dpor %s: reduced visited %d executions, full visited %d",
+				wl.name, reduced.ops, full.ops)
 		}
-		rep.Results = append(rep.Results,
-			tally.result("dpor/"+wl.name+"/reduced", cfg.Procs, reducedExecs, m))
+		rows = append(rows, full, reduced)
 
 		for _, workers := range cfg.Workers {
-			tally = new(exploreTally)
-			var execs int
-			row := fmt.Sprintf("dpor/%s/rw%d", wl.name, workers)
-			m := labeledDpor(row, func() measurement {
-				return measure(func() {
-					execs, runErr = sim.ExploreParallel(parBuild, tally.check,
-						sim.Options{Workers: workers, Budget: cfg.Budget, Reduce: true})
-				})
+			r, err := exploreRow(wl.name, fmt.Sprintf("rw%d", workers), func() (int, error) {
+				return sim.ExploreParallel(parBuild, noCheck,
+					sim.Options{Workers: workers, Budget: cfg.Budget, Reduce: true})
 			})
-			if runErr != nil {
-				return nil, fmt.Errorf("bench: %s: %w", row, runErr)
+			if err != nil {
+				return nil, err
 			}
-			if execs != reducedExecs {
-				return nil, fmt.Errorf("bench: %s visited %d executions, sequential reduced visited %d",
-					row, execs, reducedExecs)
+			if r.ops != reduced.ops {
+				return nil, fmt.Errorf("bench: dpor %s/%s visited %d executions, sequential reduced visited %d",
+					wl.name, r.engine, r.ops, reduced.ops)
 			}
-			rep.Results = append(rep.Results, tally.result(row, cfg.Procs, execs, m))
+			rows = append(rows, r)
 		}
 	}
-
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rows, nil
 }
 
 // E14DporReduction renders RunDpor as the E14 experiment table
@@ -182,13 +125,14 @@ func RunDpor(cfg DporConfig) (*Report, error) {
 // the full, reduced, and parallel-reduced engines, with the reduction
 // factor (full executions over that row's executions).
 func E14DporReduction(cfg DporConfig) ([]*Table, error) {
-	rep, err := RunDpor(cfg)
+	cfg = cfg.withDefaults()
+	rows, err := RunDpor(cfg)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		ID:      "E14",
-		Title:   fmt.Sprintf("dynamic partial-order reduction (procs=%d steps=%d)", rep.Procs, rep.OpsPerProc),
+		Title:   fmt.Sprintf("dynamic partial-order reduction (procs=%d steps=%d)", cfg.Procs, cfg.Steps),
 		Columns: []string{"workload", "engine", "executions", "reduction_vs_full", "wall_ms", "execs_per_sec", "speedup_vs_full"},
 		Notes: []string{
 			"full is the unreduced sim.Explore baseline; reduced is sleep-set DPOR (sim.ExploreReduced); rwN is ExploreParallel with N workers and Options.Reduce",
@@ -197,28 +141,21 @@ func E14DporReduction(cfg DporConfig) ([]*Table, error) {
 			"sim.CrossCheckReduction separately verifies the pruned tree still covers every Mazurkiewicz trace class (make race-sim)",
 		},
 	}
-	fullExecs := make(map[string]int64)
-	fullWall := make(map[string]float64)
-	for _, r := range rep.Results {
-		parts := strings.Split(r.Name, "/") // dpor/<workload>/<engine>
-		if len(parts) != 3 {
-			continue
-		}
-		wl, engine := parts[1], parts[2]
-		if engine == "full" {
-			fullExecs[wl] = r.Ops
-			fullWall[wl] = r.WallClockMS
+	var full row
+	for _, r := range rows {
+		if r.engine == "full" {
+			full = r
 		}
 		reduction, speedup := "-", "-"
-		if base := fullExecs[wl]; base > 0 && r.Ops > 0 {
-			reduction = fmt.Sprintf("%.1fx", float64(base)/float64(r.Ops))
+		if full.ops > 0 && r.ops > 0 {
+			reduction = fmt.Sprintf("%.1fx", float64(full.ops)/float64(r.ops))
 		}
-		if base := fullWall[wl]; base > 0 && r.WallClockMS > 0 {
-			speedup = fmt.Sprintf("%.2fx", base/r.WallClockMS)
+		if full.wallMS() > 0 && r.wallMS() > 0 {
+			speedup = fmt.Sprintf("%.2fx", full.wallMS()/r.wallMS())
 		}
-		t.AddRow(wl, engine, r.Ops, reduction,
-			fmt.Sprintf("%.1f", r.WallClockMS),
-			fmt.Sprintf("%.0f", r.ExecsPerSec),
+		t.AddRow(r.workload, r.engine, r.ops, reduction,
+			fmt.Sprintf("%.1f", r.wallMS()),
+			fmt.Sprintf("%.0f", r.perSec()),
 			speedup)
 	}
 	return []*Table{t}, nil

@@ -1,32 +1,20 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"time"
 
 	"github.com/restricteduse/tradeoffs/internal/primitive"
 	"github.com/restricteduse/tradeoffs/internal/sim"
 )
 
-// labeled runs one exploration row under pprof labels. ExploreParallel
-// spawns its worker goroutines inside the labeled region, so they inherit
-// the row's labels and a -profile capture attributes samples per row.
-func labeled(row string, f func() measurement) measurement {
-	var m measurement
-	pprof.Do(context.Background(), pprof.Labels("bench_suite", SuiteExplore, "bench_workload", row),
-		func(context.Context) { m = f() })
-	return m
-}
-
 // ParseWorkers parses a comma-separated worker-count list ("1,2,4,8") for
-// the -workers flags of cmd/benchjson, cmd/simtrace, and cmd/tradeoff.
-// Unlike the experiment sweeps' process counts, a worker count of 1 is
-// meaningful (the replay-reuse ablation), so the floor is 1.
+// the -workers flags of cmd/simtrace and cmd/tradeoff. Unlike the
+// experiment sweeps' process counts, a worker count of 1 is meaningful
+// (the replay-reuse ablation), so the floor is 1.
 func ParseWorkers(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
@@ -46,14 +34,54 @@ func ParseWorkers(s string) ([]int, error) {
 	return out, nil
 }
 
-// This file is the `explore` bench family behind `make explore-bench`: the
-// fixed reference configurations whose exhaustive exploration time the E12
-// experiment (EXPERIMENTS.md) tracks across worker counts. One "op" is one
-// complete execution of the simulated system, so rows report executions/sec
-// directly; the seq row is the single-core reference sim.Explore and the
-// w1 row is ExploreParallel with one worker — their gap isolates the replay
+// This file is the E12 experiment (EXPERIMENTS.md): the fixed reference
+// configurations whose exhaustive exploration time is tracked across
+// worker counts. One "op" is one complete execution of the simulated
+// system; the seq row is the single-core reference sim.Explore and the w1
+// row is ExploreParallel with one worker — their gap isolates the replay
 // reuse (recycled scaffolding + last-branch continuation) from the
 // parallelism.
+
+// row is one measured cell of the E12–E14 sweeps: one workload under one
+// engine (exploration) or one counter implementation (contention).
+type row struct {
+	workload string // "writers", "casinc", "mixed"; the read mix for contention
+	engine   string // "seq", "w2", "full", "reduced", "rw2"; "cas" or "sharded"
+	writers  int    // contention only
+	// ops counts complete executions for the exploration sweeps and
+	// counter operations for the contention sweep.
+	ops     int64
+	elapsed time.Duration
+	// allocs is the process-wide heap-allocation count over the region.
+	allocs                   uint64
+	casAttempts, casFailures int64
+}
+
+func (r row) wallMS() float64      { return float64(r.elapsed.Nanoseconds()) / 1e6 }
+func (r row) perSec() float64      { return float64(r.ops) / r.elapsed.Seconds() }
+func (r row) nsPerOp() float64     { return float64(r.elapsed.Nanoseconds()) / float64(r.ops) }
+func (r row) allocsPerOp() float64 { return float64(r.allocs) / float64(r.ops) }
+
+func (r row) casFailureRate() float64 {
+	if r.casAttempts == 0 {
+		return 0
+	}
+	return float64(r.casFailures) / float64(r.casAttempts)
+}
+
+// measure runs f and returns its wall time and heap-allocation count.
+// Mallocs is cumulative and monotone, so the delta is GC-independent; it
+// covers every goroutine in the process, which is why measured regions
+// never overlap.
+func measure(f func()) (time.Duration, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	began := time.Now()
+	f()
+	elapsed := time.Since(began)
+	runtime.ReadMemStats(&after)
+	return elapsed, after.Mallocs - before.Mallocs
+}
 
 // ExploreConfig parameterizes RunExplore.
 type ExploreConfig struct {
@@ -70,8 +98,8 @@ type ExploreConfig struct {
 	// Reduce switches every engine to dynamic partial-order reduction: the
 	// seq row becomes sim.ExploreReduced and the wN rows run ExploreParallel
 	// with Options.Reduce — the sweep then measures the reduced tree's
-	// scaling (cmd/tradeoff -run e12 -dpor). The dedicated dpor suite
-	// (RunDpor) measures reduced against unreduced instead.
+	// scaling (cmd/tradeoff -run e12 -dpor). RunDpor measures reduced
+	// against unreduced instead.
 	Reduce bool
 }
 
@@ -101,10 +129,10 @@ var exploreWorkloads = []exploreWorkload{
 		return nil
 	}},
 	// Contended CAS increments on one shared register: schedules diverge on
-	// CAS success/failure, so descents have variable length and the CAS
-	// columns of the report are populated. Retry branching makes this tree
-	// explode much faster than the writers' multinomial (2 procs at 4 steps
-	// is already ~830k executions), so both dimensions are clamped.
+	// CAS success/failure, so descents have variable length. Retry
+	// branching makes this tree explode much faster than the writers'
+	// multinomial (2 procs at 4 steps is already ~830k executions), so both
+	// dimensions are clamped.
 	{"casinc", func(pool *primitive.Pool, s *sim.System, procs, steps int) error {
 		if procs > 2 {
 			procs = 2
@@ -131,56 +159,36 @@ var exploreWorkloads = []exploreWorkload{
 	}},
 }
 
-// exploreTally accumulates event-log statistics across concurrently checked
-// executions.
-type exploreTally struct {
-	events      atomic.Int64
-	casAttempts atomic.Int64
-	casFailures atomic.Int64
+// builders returns the sequential and the recycling (ExploreParallel)
+// system constructors for one workload.
+func (wl exploreWorkload) builders(procs, steps int) (func() (*sim.System, error), func(*sim.Recycler) (*sim.System, error)) {
+	seq := func() (*sim.System, error) {
+		s := sim.NewSystem()
+		return s, wl.spawn(primitive.NewPool(), s, procs, steps)
+	}
+	par := func(rec *sim.Recycler) (*sim.System, error) {
+		s := rec.NewSystem()
+		return s, wl.spawn(rec.Pool(), s, procs, steps)
+	}
+	return seq, par
 }
 
-func (t *exploreTally) check(s *sim.System) error {
-	evs := s.Events()
-	t.events.Add(int64(len(evs)))
-	for _, ev := range evs {
-		if ev.Kind == sim.OpCAS {
-			t.casAttempts.Add(1)
-			if !ev.CASOK {
-				t.casFailures.Add(1)
-			}
-		}
+// noCheck accepts every execution: the sweeps time the engines, not a
+// checker.
+func noCheck(*sim.System) error { return nil }
+
+// exploreRow runs one exploration and records it as a row.
+func exploreRow(wl, engine string, explore func() (int, error)) (row, error) {
+	var execs int
+	var err error
+	elapsed, allocs := measure(func() { execs, err = explore() })
+	if err != nil {
+		return row{}, fmt.Errorf("bench: %s/%s: %w", wl, engine, err)
 	}
-	return nil
+	return row{workload: wl, engine: engine, ops: int64(execs), elapsed: elapsed, allocs: allocs}, nil
 }
 
-// exploreResult folds one exploration run into a Result row.
-func (t *exploreTally) result(name string, procs, execs int, m measurement) Result {
-	r := Result{
-		Name:        name,
-		Procs:       procs,
-		Ops:         int64(execs),
-		NsPerOp:     float64(m.elapsed.Nanoseconds()) / float64(execs),
-		StepsPerOp:  float64(t.events.Load()) / float64(execs),
-		CASAttempts: t.casAttempts.Load(),
-		CASFailures: t.casFailures.Load(),
-		AllocsPerOp: float64(m.allocs) / float64(execs),
-		BytesPerOp:  float64(m.bytes) / float64(execs),
-		WallClockMS: float64(m.elapsed.Nanoseconds()) / 1e6,
-		ExecsPerSec: float64(execs) / m.elapsed.Seconds(),
-	}
-	if r.CASAttempts > 0 {
-		r.CASFailureRate = float64(r.CASFailures) / float64(r.CASAttempts)
-	}
-	return r
-}
-
-// RunExplore measures exhaustive schedule exploration over the reference
-// workloads: one sequential sim.Explore row per workload, then one
-// ExploreParallel row per requested worker count. Every row of a workload
-// must visit the identical number of complete executions — a mismatch is an
-// engine bug and fails the run rather than producing a silently wrong
-// report.
-func RunExplore(cfg ExploreConfig) (*Report, error) {
+func (cfg ExploreConfig) withDefaults() ExploreConfig {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 3
 	}
@@ -193,80 +201,47 @@ func RunExplore(cfg ExploreConfig) (*Report, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 10_000_000
 	}
+	return cfg
+}
 
-	rep := &Report{
-		Schema:     ReportSchema,
-		Suite:      SuiteExplore,
-		Seed:       1, // explorations are exhaustive; no randomness involved
-		Procs:      cfg.Procs,
-		OpsPerProc: cfg.Steps,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Host:       ReadHost(),
-	}
-
+// RunExplore measures exhaustive schedule exploration over the reference
+// workloads: one sequential row (engine "seq") per workload, then one
+// ExploreParallel row ("w<N>") per requested worker count. Every row of a
+// workload must visit the identical number of complete executions — a
+// mismatch is an engine bug and fails the run rather than producing a
+// silently wrong table.
+func RunExplore(cfg ExploreConfig) ([]row, error) {
+	cfg = cfg.withDefaults()
+	var rows []row
 	for _, wl := range exploreWorkloads {
-		wl := wl
-		seqBuild := func() (*sim.System, error) {
-			pool := primitive.NewPool()
-			s := sim.NewSystem()
-			if err := wl.spawn(pool, s, cfg.Procs, cfg.Steps); err != nil {
-				return nil, err
+		seqBuild, parBuild := wl.builders(cfg.Procs, cfg.Steps)
+		seq, err := exploreRow(wl.name, "seq", func() (int, error) {
+			if cfg.Reduce {
+				return sim.ExploreReduced(seqBuild, noCheck, cfg.Budget)
 			}
-			return s, nil
-		}
-		parBuild := func(rec *sim.Recycler) (*sim.System, error) {
-			pool := rec.Pool()
-			s := rec.NewSystem()
-			if err := wl.spawn(pool, s, cfg.Procs, cfg.Steps); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-
-		tally := new(exploreTally)
-		var seqExecs int
-		var runErr error
-		m := labeled("explore/"+wl.name+"/seq", func() measurement {
-			return measure(func() {
-				if cfg.Reduce {
-					seqExecs, runErr = sim.ExploreReduced(seqBuild, tally.check, cfg.Budget)
-				} else {
-					seqExecs, runErr = sim.Explore(seqBuild, tally.check, cfg.Budget)
-				}
-			})
+			return sim.Explore(seqBuild, noCheck, cfg.Budget)
 		})
-		if runErr != nil {
-			return nil, fmt.Errorf("bench: explore/%s/seq: %w", wl.name, runErr)
+		if err != nil {
+			return nil, err
 		}
-		rep.Results = append(rep.Results,
-			tally.result("explore/"+wl.name+"/seq", cfg.Procs, seqExecs, m))
+		rows = append(rows, seq)
 
 		for _, workers := range cfg.Workers {
-			tally = new(exploreTally)
-			var execs int
-			m := labeled(fmt.Sprintf("explore/%s/w%d", wl.name, workers), func() measurement {
-				return measure(func() {
-					execs, runErr = sim.ExploreParallel(parBuild, tally.check,
-						sim.Options{Workers: workers, Budget: cfg.Budget, Reduce: cfg.Reduce})
-				})
+			r, err := exploreRow(wl.name, fmt.Sprintf("w%d", workers), func() (int, error) {
+				return sim.ExploreParallel(parBuild, noCheck,
+					sim.Options{Workers: workers, Budget: cfg.Budget, Reduce: cfg.Reduce})
 			})
-			if runErr != nil {
-				return nil, fmt.Errorf("bench: explore/%s/w%d: %w", wl.name, workers, runErr)
+			if err != nil {
+				return nil, err
 			}
-			if execs != seqExecs {
-				return nil, fmt.Errorf("bench: explore/%s/w%d visited %d executions, sequential visited %d",
-					wl.name, workers, execs, seqExecs)
+			if r.ops != seq.ops {
+				return nil, fmt.Errorf("bench: explore %s/%s visited %d executions, sequential visited %d",
+					wl.name, r.engine, r.ops, seq.ops)
 			}
-			rep.Results = append(rep.Results,
-				tally.result(fmt.Sprintf("explore/%s/w%d", wl.name, workers), cfg.Procs, execs, m))
+			rows = append(rows, r)
 		}
 	}
-
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rows, nil
 }
 
 // E12ExploreScaling renders RunExplore as the E12 experiment table
@@ -274,13 +249,14 @@ func RunExplore(cfg ExploreConfig) (*Report, error) {
 // the sequential reference. The seq-vs-w1 rows are the replay-reuse
 // ablation; w1-vs-wN the parallel scaling.
 func E12ExploreScaling(cfg ExploreConfig) ([]*Table, error) {
-	rep, err := RunExplore(cfg)
+	cfg = cfg.withDefaults()
+	rows, err := RunExplore(cfg)
 	if err != nil {
 		return nil, err
 	}
-	title := fmt.Sprintf("exhaustive exploration scaling (procs=%d steps=%d)", rep.Procs, rep.OpsPerProc)
+	title := fmt.Sprintf("exhaustive exploration scaling (procs=%d steps=%d)", cfg.Procs, cfg.Steps)
 	if cfg.Reduce {
-		title = fmt.Sprintf("reduced exploration scaling (procs=%d steps=%d, sleep-set DPOR)", rep.Procs, rep.OpsPerProc)
+		title = fmt.Sprintf("reduced exploration scaling (procs=%d steps=%d, sleep-set DPOR)", cfg.Procs, cfg.Steps)
 	}
 	t := &Table{
 		ID:      "E12",
@@ -289,7 +265,7 @@ func E12ExploreScaling(cfg ExploreConfig) ([]*Table, error) {
 		Notes: []string{
 			"seq is the single-core reference sim.Explore; wN is ExploreParallel with N workers",
 			"the seq->w1 gap isolates replay reuse (recycled scaffolding + last-branch continuation) from parallelism",
-			fmt.Sprintf("measured at GOMAXPROCS=%d; on a single-core host the wN rows collapse onto w1 and the speedup is the replay-reuse ablation alone", rep.GoMaxProcs),
+			fmt.Sprintf("measured at GOMAXPROCS=%d; on a single-core host the wN rows collapse onto w1 and the speedup is the replay-reuse ablation alone", runtime.GOMAXPROCS(0)),
 		},
 	}
 	if cfg.Reduce {
@@ -297,24 +273,19 @@ func E12ExploreScaling(cfg ExploreConfig) ([]*Table, error) {
 		t.Notes = append(t.Notes, "every engine visits the sleep-set-pruned tree (one representative per Mazurkiewicz trace class); E14 measures reduced against unreduced")
 	}
 	seqWall := make(map[string]float64)
-	for _, r := range rep.Results {
-		parts := strings.Split(r.Name, "/") // explore/<workload>/<engine>
-		if len(parts) != 3 {
-			continue
-		}
-		wl, engine := parts[1], parts[2]
-		if engine == "seq" {
-			seqWall[wl] = r.WallClockMS
+	for _, r := range rows {
+		if r.engine == "seq" {
+			seqWall[r.workload] = r.wallMS()
 		}
 		speedup := "-"
-		if base := seqWall[wl]; base > 0 {
-			speedup = fmt.Sprintf("%.2fx", base/r.WallClockMS)
+		if base := seqWall[r.workload]; base > 0 {
+			speedup = fmt.Sprintf("%.2fx", base/r.wallMS())
 		}
-		t.AddRow(wl, engine, r.Ops,
-			fmt.Sprintf("%.1f", r.WallClockMS),
-			fmt.Sprintf("%.0f", r.ExecsPerSec),
+		t.AddRow(r.workload, r.engine, r.ops,
+			fmt.Sprintf("%.1f", r.wallMS()),
+			fmt.Sprintf("%.0f", r.perSec()),
 			speedup,
-			fmt.Sprintf("%.1f", r.AllocsPerOp))
+			fmt.Sprintf("%.1f", r.allocsPerOp()))
 	}
 	return []*Table{t}, nil
 }

@@ -1,79 +1,51 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 )
 
 // smallExploreCfg keeps the exhaustive trees tiny so the suite stays fast.
 var smallExploreCfg = ExploreConfig{Procs: 2, Steps: 2, Workers: []int{1, 2}, Budget: 100000}
 
-func TestRunExploreProducesValidReport(t *testing.T) {
-	rep, err := RunExplore(smallExploreCfg)
+// indexRows keys rows by "<workload>/<engine>".
+func indexRows(rows []row) map[string]row {
+	m := make(map[string]row, len(rows))
+	for _, r := range rows {
+		m[r.workload+"/"+r.engine] = r
+	}
+	return m
+}
+
+func TestRunExploreRows(t *testing.T) {
+	rows, err := RunExplore(smallExploreCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Validate(); err != nil {
-		t.Fatal(err)
+	res := indexRows(rows)
+	if len(res) != 6 {
+		t.Fatalf("%d rows, want 6 (seq + w1 + w2 per workload)", len(res))
 	}
-	res := indexResults(rep)
 	for _, name := range []string{
-		"explore/writers/seq", "explore/writers/w1", "explore/writers/w2",
-		"explore/casinc/seq", "explore/casinc/w1", "explore/casinc/w2",
+		"writers/seq", "writers/w1", "writers/w2",
+		"casinc/seq", "casinc/w1", "casinc/w2",
 	} {
 		r, ok := res[name]
 		if !ok {
 			t.Fatalf("missing row %q", name)
 		}
-		if r.ExecsPerSec <= 0 || r.WallClockMS <= 0 {
-			t.Errorf("%s: execs/sec=%g wall=%gms, want positive", name, r.ExecsPerSec, r.WallClockMS)
+		if r.perSec() <= 0 || r.wallMS() <= 0 {
+			t.Errorf("%s: execs/sec=%g wall=%gms, want positive", name, r.perSec(), r.wallMS())
 		}
 	}
 	// Two independent 2-step writers: C(4,2) = 6 executions, on every row.
-	for name, r := range res {
-		if strings.HasPrefix(name, "explore/writers/") && r.Ops != 6 {
-			t.Errorf("%s visited %d executions, want 6", name, r.Ops)
+	for _, engine := range []string{"seq", "w1", "w2"} {
+		if got := res["writers/"+engine].ops; got != 6 {
+			t.Errorf("writers/%s visited %d executions, want 6", engine, got)
 		}
 	}
-	// The CAS workload must populate the contention columns.
-	if res["explore/casinc/seq"].CASAttempts == 0 {
-		t.Error("explore/casinc/seq recorded no CAS attempts")
-	}
-}
-
-func TestValidateAcceptsLegacyV1Reports(t *testing.T) {
-	// A v1 document has no allocs/bytes/wall-clock columns; Validate must
-	// not demand them.
-	rep := &Report{
-		Schema:     ReportSchemaV1,
-		Seed:       1,
-		Procs:      2,
-		OpsPerProc: 10,
-		Results: []Result{{
-			Name:       "counter/cas/increment",
-			Procs:      2,
-			Ops:        20,
-			NsPerOp:    12.5,
-			StepsPerOp: 3,
-		}},
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("Validate rejected a well-formed v1 report: %v", err)
-	}
-	// The same missing columns in a v2 document are a hard error.
-	rep.Schema = ReportSchema
-	if err := rep.Validate(); err == nil {
-		t.Fatal("Validate accepted a v2 report without wall-clock data")
-	}
-}
-
-func TestValidateChecksV2Columns(t *testing.T) {
-	rep, err := RunExplore(ExploreConfig{Procs: 2, Steps: 1, Workers: []int{1}, Budget: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Results[0].AllocsPerOp = -1
-	if err := rep.Validate(); err == nil {
-		t.Fatal("Validate accepted negative allocs/op")
+	// Contended CAS retries branch, so the tree is larger than the
+	// multinomial of the same shape.
+	if got := res["casinc/seq"].ops; got <= 6 {
+		t.Errorf("casinc/seq visited %d executions, want more than writers' 6", got)
 	}
 }

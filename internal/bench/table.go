@@ -1,13 +1,12 @@
 // Package bench is the experiment harness behind EXPERIMENTS.md: it runs
 // the experiments defined in DESIGN.md (E1-E5, E7, E9, E10) —
 // step-complexity sweeps, adversarial lower-bound constructions, ablations,
-// and cross-implementation comparisons — and renders their results as
-// tables. (E6, wall-clock throughput, lives in the repository root's
-// bench_test.go; E8 is realized as test assertions inside the adversary
-// constructions.)
-//
-// Wall-clock throughput (experiment E6) lives in the repository root's
-// bench_test.go, since it uses testing.B.
+// and cross-implementation comparisons — plus the harness and hardware
+// sweeps E12 (parallel exploration), E13 (counter contention) and E14
+// (partial-order reduction), and renders their results as tables for
+// cmd/tradeoff. (E6, wall-clock throughput, lives in the repository root's
+// bench_test.go, since it uses testing.B; E8 is realized as test
+// assertions inside the adversary constructions.)
 package bench
 
 import (

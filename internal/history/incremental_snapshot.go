@@ -32,9 +32,9 @@ type IncrementalSnapshot struct {
 
 	segs map[int]*snapSeg
 
-	// frontier is the pointwise max over resolved scans whose response
-	// dropped below the seal sweep; open holds resolved scans still
-	// overlapping it, appended in response order.
+	// frontier is the pointwise max over resolved scans that responded
+	// before every scan still to be sealed was invoked; open holds the
+	// other resolved scans, appended in response order.
 	frontier []int
 	open     []resolvedScan
 
@@ -226,6 +226,21 @@ func vecsComparable(a, b []int) bool {
 	return le || ge
 }
 
+// staleAgainst reports whether vec is older than an earlier view in some
+// component vec knows (an unknown earlier component is -1, below any
+// index; length mismatches are ambiguous, so never stale).
+func staleAgainst(vec, earlier []int) bool {
+	if len(earlier) != len(vec) {
+		return false
+	}
+	for i, e := range earlier {
+		if vec[i] != unknownIdx && vec[i] < e {
+			return true
+		}
+	}
+	return false
+}
+
 // foldInto raises the frontier to the vector's known components.
 func foldInto(frontier []int, vec []int) []int {
 	for len(frontier) < len(vec) {
@@ -246,6 +261,22 @@ func (c *IncrementalSnapshot) Seal(upTo int64) *ViolationError {
 	if upTo > c.sealedTo {
 		c.sealedTo = upTo
 	}
+	// Retire open scans that responded before every scan this call or a
+	// later one can seal was invoked: their views become the real-time
+	// floor. Scans are sealed in response order, not invocation order, so
+	// an open scan that ended after a long-running scan began stays open
+	// and is compared one by one below.
+	retire := c.minPendingInv()
+	keep := c.open[:0]
+	for _, o := range c.open {
+		if o.res < retire {
+			c.frontier = foldInto(c.frontier, o.vec)
+		} else {
+			keep = append(keep, o)
+		}
+	}
+	c.open = keep
+
 	for c.deferred.Len() > 0 && c.deferred.Peek().Res < upTo {
 		s := c.deferred.Pop()
 		vec, verr := c.resolve(s)
@@ -253,27 +284,21 @@ func (c *IncrementalSnapshot) Seal(upTo int64) *ViolationError {
 			return verr
 		}
 
-		// Retire open scans that ended before this one began: their views
-		// become the real-time floor.
-		keep := c.open[:0]
-		for _, o := range c.open {
-			if o.res < s.Inv {
-				c.frontier = foldInto(c.frontier, o.vec)
-			} else {
-				keep = append(keep, o)
+		// Real-time condition: this view must dominate the floor and every
+		// open scan that responded before it was invoked.
+		if staleAgainst(vec, c.frontier) {
+			return &ViolationError{
+				Checker: "snapshot",
+				Detail:  fmt.Sprintf("scan view %v older than a preceding scan's %v", vec, c.frontier),
+				Op:      s,
 			}
 		}
-		c.open = keep
-
-		// Real-time condition: this view must dominate the floor.
-		if len(c.frontier) == len(vec) {
-			for i, f := range c.frontier {
-				if vec[i] != unknownIdx && vec[i] < f {
-					return &ViolationError{
-						Checker: "snapshot",
-						Detail:  fmt.Sprintf("scan view %v older than a preceding scan's %v", vec, c.frontier),
-						Op:      s,
-					}
+		for _, o := range c.open {
+			if o.res < s.Inv && staleAgainst(vec, o.vec) {
+				return &ViolationError{
+					Checker: "snapshot",
+					Detail:  fmt.Sprintf("scan view %v older than a preceding scan's %v", vec, o.vec),
+					Op:      s,
 				}
 			}
 		}

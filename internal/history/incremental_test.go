@@ -3,6 +3,7 @@ package history
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -301,6 +302,37 @@ func TestIncrementalExactViolations(t *testing.T) {
 			t.Fatalf("want consensus violation, got %v", v)
 		}
 	})
+}
+
+// TestIncrementalSnapshotLongScanNotStale pins the real-time condition
+// on overlapping scans: a long scan may return a view older than that of
+// a scan which responded after it began, even when a third scan, sealed
+// in between, already saw both of them end. The history is linearizable
+// (the long scan takes effect before the second update).
+func TestIncrementalSnapshotLongScanNotStale(t *testing.T) {
+	ops := []Op{
+		{Proc: 0, Kind: KindUpdate, Arg: 7, Inv: 1, Res: 2},
+		{Proc: 3, Kind: KindScan, RetVec: []int64{7}, Inv: 3, Res: 31},
+		{Proc: 0, Kind: KindUpdate, Arg: 9, Inv: 4, Res: 5},
+		{Proc: 1, Kind: KindScan, RetVec: []int64{9}, Inv: 6, Res: 11},
+		{Proc: 2, Kind: KindScan, RetVec: []int64{9}, Inv: 16, Res: 21},
+	}
+	if err := CheckSnapshot(ops); err != nil {
+		t.Fatalf("batch checker rejects the history: %v", err)
+	}
+	if v := runStream(NewIncrementalSnapshot(false), ops); v != nil {
+		t.Fatalf("false violation on a linearizable history: %v", v)
+	}
+	// With the second update still in flight, a long scan invoked after
+	// the first short scan responded must not go behind that scan's view.
+	ops[2].Res = 40
+	ops[1].Inv = 12
+	if err := CheckSnapshot(ops); err == nil {
+		t.Fatal("batch checker accepts a stale long scan")
+	}
+	if v := runStream(NewIncrementalSnapshot(false), ops); v == nil || !strings.Contains(v.Detail, "older than a preceding scan") {
+		t.Fatalf("stale long scan not detected by the real-time condition: %v", v)
+	}
 }
 
 // TestIncrementalRelaxedSnapshotZeroScan pins the relaxed-mode soundness

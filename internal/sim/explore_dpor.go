@@ -26,7 +26,7 @@ import (
 // configuration and verifies — via canonical-trace hashing over the
 // recorded access footprints — that the reduced run covers every
 // equivalence class the full run visits. make race-sim runs it at smoke
-// size on every push; the dpor bench suite records the reduction factors.
+// size on every push; E14 (`tradeoff -run e14`) records the reduction factors.
 
 // Footprint is one step's shared-memory access: the register index, the
 // primitive, and whether the step wrote (a write, or a CAS counted by

@@ -13,7 +13,7 @@ type Options struct {
 	// Workers is the number of worker goroutines partitioning the schedule
 	// tree; <= 0 means runtime.GOMAXPROCS(0). Workers == 1 still benefits
 	// from replay reuse (recycled scaffolding, last-branch continuation),
-	// which is the ablation `make explore-bench` records against the
+	// which is the ablation E12 (`tradeoff -run e12`) records against the
 	// sequential Explore.
 	Workers int
 
